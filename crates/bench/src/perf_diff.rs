@@ -16,14 +16,21 @@
 //!   WARN only; it never fails the gate.
 //!
 //! `threads`, `cores`, `wall_ms`, and phase `ns` are ignored entirely;
-//! `trace_ms`, `seed`, and `queue_kind` must match or the reports are
-//! incomparable (error). A `queue_kind` mismatch means the baseline was
-//! recorded under different event-queue pop-order semantics — the remedy
-//! is a deliberate re-record, and the gate says so instead of emitting a
-//! wall of counter mismatches. Reports that predate the field are
-//! treated as [`simcore::HEAP_QUEUE_KIND`].
+//! `trace_ms`, `seed`, `queue_kind` and `event_model` must match or the
+//! reports are incomparable (error). A `queue_kind` mismatch means the
+//! baseline was recorded under different event-queue pop-order
+//! semantics, an `event_model` mismatch that the engine dispatches a
+//! different set of events ([`dmamem::EVENT_MODEL`]) — either way the
+//! remedy is a deliberate re-record, and the gate says so instead of
+//! emitting a wall of counter mismatches. Reports that predate the
+//! fields are treated as [`simcore::HEAP_QUEUE_KIND`] and
+//! [`LEGACY_EVENT_MODEL`].
 
 use simcore::obs::json::{parse, JsonValue};
+
+/// The event model of reports recorded before the field existed: every
+/// bus tick, service completion and timer dispatched as an event.
+pub const LEGACY_EVENT_MODEL: &str = "per-event-v1";
 
 /// Default tolerated relative `events_per_sec` regression before warning.
 pub const DEFAULT_RATE_TOLERANCE: f64 = 0.30;
@@ -36,6 +43,7 @@ pub const DETERMINISTIC_FIELDS: &[&str] = &[
     "max_heap_depth",
     "transfers",
     "requests",
+    "replayed_requests",
     "sims",
     "memo_hits",
     "memo_misses",
@@ -51,8 +59,13 @@ const TOTALS_FIELDS: &[&str] = &[
     "max_heap_depth",
     "transfers",
     "requests",
+    "replayed_requests",
     "sims",
 ];
+
+/// Counters added after the first baselines were recorded: a report
+/// without one predates the mechanism it counts and read zero.
+const LATE_FIELDS: &[&str] = &["replayed_requests"];
 
 /// One deterministic counter compared between baseline and current.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,6 +180,7 @@ struct Figure {
 
 struct Report {
     queue_kind: String,
+    event_model: String,
     trace_ms: f64,
     seed: u64,
     figures: Vec<Figure>,
@@ -176,6 +190,9 @@ struct Report {
 }
 
 fn get_u64(label: &str, ctx: &str, v: &JsonValue, field: &str) -> Result<u64, String> {
+    if v.get(field).is_none() && LATE_FIELDS.contains(&field) {
+        return Ok(0);
+    }
     v.get(field)
         .and_then(|x| x.as_f64())
         .map(|f| f as u64)
@@ -196,6 +213,11 @@ fn parse_report(label: &str, text: &str) -> Result<Report, String> {
         .get("queue_kind")
         .and_then(|q| q.as_str())
         .unwrap_or(simcore::HEAP_QUEUE_KIND)
+        .to_string();
+    let event_model = v
+        .get("event_model")
+        .and_then(|m| m.as_str())
+        .unwrap_or(LEGACY_EVENT_MODEL)
         .to_string();
     let trace_ms = v
         .get("trace_ms")
@@ -255,6 +277,7 @@ fn parse_report(label: &str, text: &str) -> Result<Report, String> {
     }
     Ok(Report {
         queue_kind,
+        event_model,
         trace_ms,
         seed,
         figures,
@@ -280,6 +303,15 @@ pub fn diff(baseline: &str, current: &str, rate_tolerance: f64) -> Result<PerfDi
             "queue_kind mismatch: baseline `{}` vs current `{}` — baseline recorded under \
              different queue semantics; re-record it (`experiments ... --prof-out`) before diffing",
             base.queue_kind, cur.queue_kind
+        ));
+    }
+    // Same for the event model: the event counters count different
+    // things under different models.
+    if base.event_model != cur.event_model {
+        return Err(format!(
+            "event_model mismatch: baseline `{}` vs current `{}` — baseline recorded under \
+             a different event model; re-record it (`experiments ... --prof-out`) before diffing",
+            base.event_model, cur.event_model
         ));
     }
     // trace_ms is a config literal, not a computed value: any difference
@@ -386,10 +418,11 @@ mod tests {
         let d = diff(&r, &r, DEFAULT_RATE_TOLERANCE).unwrap();
         assert!(d.passed());
         assert!(d.warnings().is_empty());
-        // 11 per-figure fields + 7 totals + 1 phase.
-        assert_eq!(d.counters.len(), 19);
+        // 12 per-figure fields + 8 totals + 1 phase (the fixture
+        // predates `replayed_requests`, which reads as zero).
+        assert_eq!(d.counters.len(), 21);
         assert_eq!(d.rates.len(), 2);
-        assert!(d.render().contains("19 deterministic counters identical"));
+        assert!(d.render().contains("21 deterministic counters identical"));
     }
 
     #[test]
@@ -442,6 +475,46 @@ mod tests {
         assert!(diff(&wheel, &wheel, DEFAULT_RATE_TOLERANCE)
             .unwrap()
             .passed());
+    }
+
+    #[test]
+    fn event_model_mismatch_is_a_clear_rerecord_error() {
+        // The fixture predates the event_model field: it reads as the
+        // per-event model and must not diff against a replay baseline.
+        let legacy = report(1000, 100_000, 42);
+        let replay = legacy.replace(
+            "\"bench\": \"engine\"",
+            &format!(
+                "\"bench\": \"engine\", \"event_model\": \"{}\"",
+                dmamem::EVENT_MODEL
+            ),
+        );
+        let err = diff(&legacy, &replay, DEFAULT_RATE_TOLERANCE).unwrap_err();
+        assert!(err.contains("event_model mismatch"), "{err}");
+        assert!(err.contains("re-record"), "{err}");
+        assert!(
+            err.contains(LEGACY_EVENT_MODEL) && err.contains(dmamem::EVENT_MODEL),
+            "error names both models: {err}"
+        );
+        assert!(diff(&replay, &replay, DEFAULT_RATE_TOLERANCE)
+            .unwrap()
+            .passed());
+    }
+
+    #[test]
+    fn replayed_request_drift_fails_the_gate() {
+        let base = report(1000, 100_000, 42).replace(
+            "\"requests\": 640,",
+            "\"requests\": 640, \"replayed_requests\": 600,",
+        );
+        let cur = base.replacen(
+            "\"replayed_requests\": 600",
+            "\"replayed_requests\": 601",
+            1,
+        );
+        let d = diff(&base, &cur, DEFAULT_RATE_TOLERANCE).unwrap();
+        assert_eq!(d.failures().len(), 1);
+        assert_eq!(d.failures()[0].field, "replayed_requests");
     }
 
     #[test]

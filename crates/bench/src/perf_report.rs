@@ -57,6 +57,9 @@ pub struct EngineReport {
     /// max depth) are only comparable between reports with equal kinds;
     /// `perf_diff` refuses to diff across kinds.
     pub queue_kind: String,
+    /// Event model of the engine ([`dmamem::EVENT_MODEL`]): what the
+    /// event counters count. `perf_diff` refuses to diff across models.
+    pub event_model: String,
     /// Worker threads the sweep ran on.
     pub threads: usize,
     /// Hardware threads the host reports.
@@ -90,6 +93,7 @@ impl EngineReport {
             .collect();
         EngineReport {
             queue_kind: simcore::QUEUE_KIND.to_string(),
+            event_model: dmamem::EVENT_MODEL.to_string(),
             threads: runner.threads(),
             cores: simcore::par::available_threads(),
             trace_ms,
@@ -122,6 +126,7 @@ impl EngineReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"bench\": \"engine\",\n");
         out.push_str(&format!("  \"queue_kind\": \"{}\",\n", self.queue_kind));
+        out.push_str(&format!("  \"event_model\": \"{}\",\n", self.event_model));
         out.push_str(&format!("  \"threads\": {},\n", self.threads));
         out.push_str(&format!("  \"cores\": {},\n", self.cores));
         out.push_str(&format!("  \"trace_ms\": {},\n", self.trace_ms));
@@ -131,8 +136,8 @@ impl EngineReport {
             out.push_str(&format!(
                 "    {{\"figure\": \"{}\", \"events\": {}, \"heap_pushes\": {}, \
                  \"heap_pops\": {}, \"max_heap_depth\": {}, \"transfers\": {}, \
-                 \"requests\": {}, \"sims\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \
-                 \"trace_hits\": {}, \"trace_misses\": {}, \"wall_ms\": {:.3}, \
+                 \"requests\": {}, \"replayed_requests\": {}, \"sims\": {}, \"memo_hits\": {}, \
+                 \"memo_misses\": {}, \"trace_hits\": {}, \"trace_misses\": {}, \"wall_ms\": {:.3}, \
                  \"events_per_sec\": {:.0}}}{}\n",
                 r.figure,
                 r.prof.events,
@@ -141,6 +146,7 @@ impl EngineReport {
                 r.prof.max_heap_depth,
                 r.prof.transfers,
                 r.prof.requests,
+                r.prof.replayed_requests,
                 r.prof.sims,
                 r.memo_hits,
                 r.memo_misses,
@@ -154,14 +160,15 @@ impl EngineReport {
         out.push_str("  ],\n");
         out.push_str(&format!(
             "  \"totals\": {{\"events\": {}, \"heap_pushes\": {}, \"heap_pops\": {}, \
-             \"max_heap_depth\": {}, \"transfers\": {}, \"requests\": {}, \"sims\": {}, \
-             \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}}},\n",
+             \"max_heap_depth\": {}, \"transfers\": {}, \"requests\": {}, \
+             \"replayed_requests\": {}, \"sims\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}}},\n",
             self.totals.events,
             self.totals.heap_pushes,
             self.totals.heap_pops,
             self.totals.max_heap_depth,
             self.totals.transfers,
             self.totals.requests,
+            self.totals.replayed_requests,
             self.totals.sims,
             self.total_wall_ms(),
             self.total_events_per_sec()
@@ -187,12 +194,12 @@ impl EngineReport {
     /// Renders the human summary behind `experiments --prof-summary`.
     pub fn summary(&self) -> String {
         let mut out = String::from(
-            "| figure | events | events/sec | sims | memo (hit/miss) | heap (push/pop) | max depth | wall (ms) |\n",
+            "| figure | events | events/sec | sims | memo (hit/miss) | heap (push/pop) | max depth | wall (ms) | replayed requests |\n",
         );
-        out.push_str("|---|---:|---:|---:|---:|---:|---:|---:|\n");
+        out.push_str("|---|---:|---:|---:|---:|---:|---:|---:|---:|\n");
         for r in &self.rows {
             out.push_str(&format!(
-                "| {} | {} | {:.0} | {} | {}/{} | {}/{} | {} | {:.1} |\n",
+                "| {} | {} | {:.0} | {} | {}/{} | {}/{} | {} | {:.1} | {} |\n",
                 r.figure,
                 r.prof.events,
                 r.events_per_sec(),
@@ -202,23 +209,34 @@ impl EngineReport {
                 r.prof.heap_pushes,
                 r.prof.heap_pops,
                 r.prof.max_heap_depth,
-                r.wall_ms
+                r.wall_ms,
+                r.prof.replayed_requests
             ));
         }
         out.push_str(&format!(
-            "| **total** | **{}** | **{:.0}** | **{}** | | **{}/{}** | **{}** | **{:.1}** |\n",
+            "| **total** | **{}** | **{:.0}** | **{}** | | **{}/{}** | **{}** | **{:.1}** | **{}** |\n",
             self.totals.events,
             self.total_events_per_sec(),
             self.totals.sims,
             self.totals.heap_pushes,
             self.totals.heap_pops,
             self.totals.max_heap_depth,
-            self.total_wall_ms()
+            self.total_wall_ms(),
+            self.totals.replayed_requests
         ));
         out.push('\n');
         out.push_str(&format!(
             "{} transfers and {} DMA-memory requests allocated across {} simulations\n",
             self.totals.transfers, self.totals.requests, self.totals.sims
+        ));
+        let replayed_pct = if self.totals.requests > 0 {
+            self.totals.replayed_requests as f64 / self.totals.requests as f64 * 100.0
+        } else {
+            0.0
+        };
+        out.push_str(&format!(
+            "{} requests ({replayed_pct:.1}%) advanced by steady-train replay (event model {})\n",
+            self.totals.replayed_requests, self.event_model
         ));
         if self.totals.timed_sims > 0 {
             out.push_str("phase timing (wall-clock, host-dependent):\n");
@@ -259,6 +277,7 @@ mod tests {
                 max_heap_depth: 17,
                 transfers: 9,
                 requests: 640,
+                replayed_requests: 320,
                 phase_calls: [events, 0, 0, 2],
                 ..ProfTotals::default()
             },
@@ -278,6 +297,7 @@ mod tests {
             max_heap_depth: 17,
             transfers: 18,
             requests: 1280,
+            replayed_requests: 640,
             phase_calls: [3000, 0, 0, 4],
             ..ProfTotals::default()
         };
@@ -285,6 +305,7 @@ mod tests {
         totals.timed_sims = 4;
         EngineReport {
             queue_kind: simcore::QUEUE_KIND.to_string(),
+            event_model: dmamem::EVENT_MODEL.to_string(),
             threads: 2,
             cores: 1,
             trace_ms: 2.0,
@@ -299,6 +320,9 @@ mod tests {
         let json = report().to_json();
         assert!(json.contains("\"bench\": \"engine\""));
         assert!(json.contains(&format!("\"queue_kind\": \"{}\"", simcore::QUEUE_KIND)));
+        assert!(json.contains(&format!("\"event_model\": \"{}\"", dmamem::EVENT_MODEL)));
+        assert!(json.contains("\"replayed_requests\": 320"));
+        assert!(json.contains("\"replayed_requests\": 640"));
         assert!(json.contains("\"figure\": \"fig5\""));
         assert!(json.contains("\"events\": 1000"));
         // 1000 events over 10 ms = 100k events/sec; 2000 over 5 ms = 400k.
@@ -324,6 +348,11 @@ mod tests {
         assert!(s.contains("dispatch"));
         assert!(s.contains("80.0%"), "4 of 5 ms in dispatch:\n{s}");
         assert!(s.contains("1280 DMA-memory requests"));
+        assert!(
+            s.contains("| 10.0 | 320 |"),
+            "per-figure replayed column:\n{s}"
+        );
+        assert!(s.contains("640 requests (50.0%) advanced by steady-train replay"));
     }
 
     #[test]

@@ -151,6 +151,8 @@ pub struct ProfTotals {
     pub transfers: u64,
     /// Chip-level DMA-memory requests allocated across all runs.
     pub requests: u64,
+    /// Requests the engines advanced by steady-train replay.
+    pub replayed_requests: u64,
     /// Per-phase call counts, indexed in [`Phase::ALL`] order.
     pub phase_calls: [u64; 4],
     /// Per-phase wall-clock ns (zero unless profiling was armed;
@@ -174,6 +176,7 @@ impl ProfTotals {
             max_heap_depth: self.max_heap_depth,
             transfers: self.transfers - earlier.transfers,
             requests: self.requests - earlier.requests,
+            replayed_requests: self.replayed_requests - earlier.replayed_requests,
             phase_calls: sub4(self.phase_calls, earlier.phase_calls),
             phase_ns: sub4(self.phase_ns, earlier.phase_ns),
         }
@@ -194,6 +197,7 @@ struct ProfAccum {
     depth_window_max: AtomicU64,
     transfers: AtomicU64,
     requests: AtomicU64,
+    replayed_requests: AtomicU64,
     phase_calls: [AtomicU64; 4],
     phase_ns: [AtomicU64; 4],
 }
@@ -211,6 +215,8 @@ impl ProfAccum {
             .fetch_max(p.max_heap_depth, Ordering::Relaxed);
         self.transfers.fetch_add(p.transfers, Ordering::Relaxed);
         self.requests.fetch_add(p.requests, Ordering::Relaxed);
+        self.replayed_requests
+            .fetch_add(p.replayed_requests, Ordering::Relaxed);
         for (i, phase) in Phase::ALL.iter().enumerate() {
             let stat = p.phases.get(*phase);
             self.phase_calls[i].fetch_add(stat.calls, Ordering::Relaxed);
@@ -236,6 +242,7 @@ impl ProfAccum {
             max_heap_depth: self.depth_max.load(Ordering::Relaxed),
             transfers: self.transfers.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
+            replayed_requests: self.replayed_requests.load(Ordering::Relaxed),
             phase_calls: load4(&self.phase_calls),
             phase_ns: load4(&self.phase_ns),
         }

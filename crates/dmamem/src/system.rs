@@ -36,6 +36,15 @@ use crate::obs::{DebitCause, Obs, ObsMetrics, ReleaseCause, RunObs, SlackSummary
 use crate::timeline::{ChipActivity, TimelineRecorder};
 use crate::tracing::Tracer;
 
+/// Names the engine's event model: which events a run dispatches and
+/// what its profile's event counters count. Engine baselines record it
+/// so a perf gate refuses to compare counters across models.
+///
+/// `train-replay-v1`: steady DMA request trains advance one recorded bus
+/// period at a time without dispatching their events (see
+/// [`EngineProfile::replayed_requests`]).
+pub const EVENT_MODEL: &str = "train-replay-v1";
+
 /// Simulates a data server running one [`Scheme`] over a trace.
 ///
 /// See the crate-level example. Construction is cheap; [`run`] does the
@@ -77,14 +86,15 @@ impl ServerSimulator {
         }
     }
 
-    /// Disables the virtual-time fast-forward, dispatching every
-    /// periodic tick individually as the pre-calendar engine did.
+    /// Disables the steady-train replay, dispatching every bus tick,
+    /// service completion and policy timer as its own event.
     ///
-    /// Simulated results are identical either way (the fast-forward only
-    /// skips provably no-op ticks; `tests/fast_forward.rs` pins the
-    /// conservation identity) — this knob exists as the test oracle for
-    /// that claim and as an escape hatch while debugging event-order
-    /// issues.
+    /// Simulated results are bit-identical either way (the replay only
+    /// repeats a bus period it has just watched repeat itself;
+    /// `tests/train_replay.rs` pins the identity) — this knob exists as
+    /// the test oracle for that claim and as an escape hatch while
+    /// debugging event-order issues. Only the engine profile differs:
+    /// replayed requests dispatch no events.
     pub fn with_classic_event_core(mut self) -> Self {
         self.classic = true;
         self
@@ -231,16 +241,18 @@ enum Ev {
     Trace,
     /// A bus may issue a request.
     BusTick { bus: BusId, gen: u64 },
-    /// A chip finished its current service.
-    ServiceDone { chip: usize },
+    /// A chip finished its current service. `gen` goes stale when a
+    /// train replay moves the service (see [`TrainReplay`]).
+    ServiceDone { chip: usize, gen: u64 },
     /// A chip finished a power-mode transition.
     TransitionDone { chip: usize },
     /// The low-level policy wants to sleep an idle chip.
     PolicyTimer { chip: usize, gen: u64 },
     /// End of a reserved-for-CPU idle gap (Section 4.1.3 alternative).
     CpuGapDone { chip: usize },
-    /// DMA-TA epoch accounting tick.
-    EpochTick,
+    /// DMA-TA epoch accounting tick. `gen` goes stale when a train
+    /// replay carries the tick past its window.
+    EpochTick { gen: u64 },
     /// PL layout recomputation.
     PlInterval,
 }
@@ -297,6 +309,96 @@ impl ChipCtl {
     }
 }
 
+/// Simulated time between two live-telemetry watermark stores.
+const WATERMARK_EVERY: SimDuration = SimDuration::from_us(4);
+
+/// Train events the engine dispatches in a row, with no other event in
+/// between, before it looks for a steady period. After a period that did
+/// not repeat, the distance doubles, up to [`TRAIN_GATE_MAX`]; any other
+/// event or a replay resets it.
+const TRAIN_GATE_MIN: u32 = 8;
+const TRAIN_GATE_MAX: u32 = 1 << 12;
+
+/// Fewest periods worth replaying after the recorded one.
+const MIN_REPLAY_PERIODS: u64 = 16;
+
+/// Snapshot tags of the three train event kinds.
+const TAG_TICK: i64 = 0;
+const TAG_DONE: i64 = 1;
+const TAG_TIMER: i64 = 2;
+
+/// One call on the slack account inside a recorded period.
+#[derive(Debug, Clone, Copy)]
+enum SlackOp {
+    Credit,
+    Queue(f64),
+}
+
+/// A live train event pending in the queue: `(time, seq, tag, bus or
+/// chip)`.
+type LiveEvent = (SimTime, u64, i64, usize);
+
+/// Integer engine totals at the start of a recorded period.
+#[derive(Debug, Clone, Copy, Default)]
+struct TrainTotals {
+    requests: u64,
+    served: u64,
+    service_sum_ps: u64,
+    dma_serving: SimDuration,
+}
+
+/// Steady-train replay state.
+///
+/// A *train* is the set of buses with a pending tick, all carrying
+/// mid-transfer streams, and the active chips their streams target, with
+/// nothing but DMA work queued. Left alone, such a system repeats itself
+/// every bus slot period. The engine watches one period through the
+/// normal handlers while recording the three f64 sequences it feeds
+/// (slack-account calls, `request_service` samples, each chip's energy
+/// accruals), compares integer snapshots of the train taken at both
+/// ends, and when they match applies the period `m` more times at once.
+/// See DESIGN.md §14 for the conditions and the proof of bit-identity.
+#[derive(Debug, Default)]
+struct TrainReplay {
+    /// Replay allowed for this run (no observer, no CPU reservation,
+    /// not the classic core).
+    enabled: bool,
+    /// Train events dispatched since the last other event or attempt.
+    streak: u32,
+    /// Streak that opens the next attempt.
+    gate: u32,
+    /// The fastest bus's slot period: no train repeats sooner.
+    min_period: SimDuration,
+    /// A period starting at `t0` is being recorded.
+    recording: bool,
+    /// End of the last replayed window: queued events before it are
+    /// stale leftovers, so no period may start there.
+    resume_at: SimTime,
+    t0: SimTime,
+    period: SimDuration,
+    buses: Vec<BusId>,
+    /// Sorted.
+    chips: Vec<usize>,
+    /// Snapshot at `t0`, and scratch for the one at `t0 + period`.
+    snap: Vec<i64>,
+    scratch: Vec<i64>,
+    /// Each train stream's `issued` at `t0` (bus order, then stream
+    /// order); turned into per-period counts when replaying.
+    issued: Vec<u64>,
+    /// Scratch: `(transfer, count)` pairs of the train streams.
+    streams: Vec<(TransferId, u64)>,
+    /// The live train events of the latest snapshot, time-ordered.
+    live: Vec<LiveEvent>,
+    /// The queued epoch tick of the latest snapshot, when it rides along
+    /// (see `Engine::foreign_epoch_tick`).
+    epoch_tick: Option<SimTime>,
+    slack_ops: Vec<SlackOp>,
+    samples: Vec<SimDuration>,
+    totals: TrainTotals,
+    /// Requests advanced by replay over the run.
+    replayed: u64,
+}
+
 /// Live-transfer bookkeeping record; lives in the engine's [`Slab`]
 /// arena for the duration of the transfer.
 struct Track {
@@ -313,7 +415,10 @@ struct Engine<'a> {
     // Dispatch-hot per-chip state, struct-of-arrays (indexed like
     // `chips`; see the `ChipCtl` docs).
     serving: Vec<Option<Serving>>,
+    service_gen: Vec<u64>,
     timer_gen: Vec<u64>,
+    /// When the chip's armed policy timer fires (`NEVER` if none).
+    timer_at: Vec<SimTime>,
     planned_mode: Vec<Option<PowerMode>>,
     wake_requested: Vec<bool>,
     idle_start: Vec<SimTime>,
@@ -335,6 +440,9 @@ struct Engine<'a> {
     rule: Option<ReleaseRule>,
     ta_pending_total: usize,
     last_epoch_tick: SimTime,
+    /// When the next epoch tick fires (`NEVER` if none is queued).
+    next_epoch_tick: SimTime,
+    epoch_gen: u64,
     // PL state.
     tracker: Option<PopularityTracker>,
     // Progress accounting for termination.
@@ -355,9 +463,6 @@ struct Engine<'a> {
     /// One-entry `(bytes, service_time(bytes))` memo for the hot DMA
     /// serve path (request sizes are uniform within a run).
     service_memo: (u64, SimDuration),
-    dbg_pending_delay_ps: f64,
-    dbg_first_post_release_ps: f64,
-    dbg_nonfirst_delay_ps: f64,
     // Exact service-time totals, kept alongside `request_service` so the
     // slack-ledger close carries integer data the replay can reproduce
     // `guarantee_met` from without float-accumulation drift.
@@ -369,17 +474,21 @@ struct Engine<'a> {
     // (deterministic); wall-clock ns only when `prof_timed` is set.
     phases: PhaseProfile,
     prof_timed: bool,
-    /// Dispatch every periodic tick (no fast-forward); see
+    /// Dispatch every event (no train replay); see
     /// [`ServerSimulator::with_classic_event_core`].
     classic: bool,
-    /// No observability consumer is attached, so skipping a no-op tick
+    /// No observability consumer is attached, so replaying a period
     /// cannot lose an event-stream record or metric increment. Cached at
     /// run start (consumers never attach mid-run).
     obs_quiet: bool,
     /// Live telemetry: the engine stores a coarse sim-clock watermark
-    /// into it every 1024 dispatched events (a pure atomic store — see
+    /// into it every [`WATERMARK_EVERY`] of simulated time and at the
+    /// end of every replayed window (a pure atomic store — see
     /// [`LiveState::watermark_ps`]). Never read back by the simulation.
     live: Option<Arc<LiveState>>,
+    next_watermark: SimTime,
+    /// Boxed: only the gate fields are touched per event.
+    train: Box<TrainReplay>,
 }
 
 impl<'a> Engine<'a> {
@@ -421,7 +530,9 @@ impl<'a> Engine<'a> {
             now: SimTime::ZERO,
             chips,
             serving: vec![None; config.chips],
+            service_gen: vec![0; config.chips],
             timer_gen: vec![0; config.chips],
+            timer_at: vec![SimTime::NEVER; config.chips],
             planned_mode: vec![None; config.chips],
             wake_requested: vec![false; config.chips],
             idle_start: vec![SimTime::ZERO; config.chips],
@@ -435,6 +546,8 @@ impl<'a> Engine<'a> {
             rule,
             ta_pending_total: 0,
             last_epoch_tick: SimTime::ZERO,
+            next_epoch_tick: SimTime::NEVER,
+            epoch_gen: 0,
             tracker,
             cursor: 0,
             active_transfers: 0,
@@ -453,9 +566,6 @@ impl<'a> Engine<'a> {
                 config.cache_line_bytes,
                 config.power_model.service_time(config.cache_line_bytes),
             ),
-            dbg_pending_delay_ps: 0.0,
-            dbg_first_post_release_ps: 0.0,
-            dbg_nonfirst_delay_ps: 0.0,
             served: 0,
             service_sum_ps: 0,
             obs: Obs::new(config.chips),
@@ -465,6 +575,11 @@ impl<'a> Engine<'a> {
             classic: false,
             obs_quiet: true,
             live: None,
+            next_watermark: SimTime::NEVER,
+            train: Box::new(TrainReplay {
+                gate: TRAIN_GATE_MIN,
+                ..TrainReplay::default()
+            }),
         }
     }
 
@@ -504,6 +619,22 @@ impl<'a> Engine<'a> {
 
     fn run(mut self, trace: &Trace) -> SimResult {
         self.obs_quiet = !self.obs.enabled();
+        // The replay repeats DMA-only periods with nothing watching:
+        // observability consumers would miss the replayed records, and
+        // the CPU reservation interleaves gaps the recorder does not
+        // model.
+        self.train.enabled = !self.classic
+            && self.obs_quiet
+            && self.scheme.ta.and_then(|ta| ta.cpu_reservation).is_none();
+        if self.live.is_some() {
+            self.next_watermark = SimTime::ZERO;
+        }
+        self.train.min_period = self
+            .buses
+            .iter()
+            .map(Bus::slot_period)
+            .min()
+            .unwrap_or(SimDuration::ZERO);
         let events = trace.events();
         if let Some(first) = events.first() {
             self.queue.schedule(first.time(), Ev::Trace);
@@ -513,7 +644,10 @@ impl<'a> Engine<'a> {
             self.arm_policy(chip);
         }
         if let Some(ta) = self.scheme.ta {
-            self.queue.schedule(SimTime::ZERO + ta.epoch, Ev::EpochTick);
+            self.next_epoch_tick = SimTime::ZERO + ta.epoch;
+            let gen = self.epoch_gen;
+            self.queue
+                .schedule(self.next_epoch_tick, Ev::EpochTick { gen });
         }
         if let Some(pl) = self.scheme.pl {
             // Cost-benefit gate (the paper's planned run-time check): the
@@ -537,22 +671,25 @@ impl<'a> Engine<'a> {
         // attribution is host-dependent anyway and now includes the queue
         // pop between events of one run.
         let mut timed_run: Option<(Phase, Stopwatch)> = None;
-        let mut watermark_tick: u64 = 0;
-        while let Some((t, ev)) = self.queue.pop() {
+        loop {
+            if self.train.enabled && (self.train.recording || self.train.streak >= self.train.gate)
+            {
+                self.train_step(events);
+            }
+            let Some((t, ev)) = self.queue.pop() else {
+                break;
+            };
             debug_assert!(t >= self.now, "event time went backwards");
             self.now = t;
-            if let Some(live) = &self.live {
-                watermark_tick += 1;
-                if watermark_tick & 1023 == 0 {
-                    live.watermark_ps(self.now.as_ps());
-                }
+            if self.now >= self.next_watermark {
+                self.publish_watermark();
             }
             if self.finished(events.len()) {
                 break;
             }
             let _span = dispatch_span.as_ref().map(|s| s.start());
             let phase = match ev {
-                Ev::PolicyTimer { .. } | Ev::EpochTick | Ev::PlInterval => Phase::Policy,
+                Ev::PolicyTimer { .. } | Ev::EpochTick { .. } | Ev::PlInterval => Phase::Policy,
                 Ev::TransitionDone { .. } => Phase::Transition,
                 _ => Phase::Dispatch,
             };
@@ -566,12 +703,18 @@ impl<'a> Engine<'a> {
             match ev {
                 Ev::Trace => self.on_trace(events),
                 Ev::BusTick { bus, gen } => self.on_bus_tick(bus, gen),
-                Ev::ServiceDone { chip } => self.on_service_done(chip),
+                Ev::ServiceDone { chip, gen } => self.on_service_done(chip, gen),
                 Ev::TransitionDone { chip } => self.on_transition_done(chip),
                 Ev::PolicyTimer { chip, gen } => self.on_policy_timer(chip, gen),
                 Ev::CpuGapDone { chip } => self.try_serve(chip),
-                Ev::EpochTick => self.on_epoch_tick(events.len()),
+                Ev::EpochTick { gen } => self.on_epoch_tick(gen, events.len()),
                 Ev::PlInterval => self.on_pl_interval(events.len()),
+            }
+            match ev {
+                Ev::BusTick { .. } | Ev::ServiceDone { .. } | Ev::PolicyTimer { .. } => {
+                    self.train.streak = self.train.streak.saturating_add(1);
+                }
+                _ => self.train_interrupted(),
             }
         }
         if let Some((p, sw)) = timed_run.take() {
@@ -582,27 +725,6 @@ impl<'a> Engine<'a> {
         self.phases.note(Phase::Stats);
         let stats_sw = self.prof_timed.then(Stopwatch::start);
 
-        if std::env::var_os("DMAMEM_DEBUG_SLACK").is_some() {
-            if let Some(slack) = &self.slack {
-                let (e, w, p, q) = slack.debits_ps();
-                eprintln!(
-                    "delay debug: pending {:.3} ms, first-total {:.3} ms, nonfirst {:.3} ms",
-                    self.dbg_pending_delay_ps / 1e9,
-                    self.dbg_first_post_release_ps / 1e9,
-                    self.dbg_nonfirst_delay_ps / 1e9
-                );
-                eprintln!(
-                    "slack debug: final {:.3} ms, min {:.3} ms, credits {} reqs, debits epoch {:.3} ms wake {:.3} ms proc {:.3} ms queue {:.3} ms",
-                    slack.slack_ps() / 1e9,
-                    slack.min_slack_ps() / 1e9,
-                    slack.credited_requests(),
-                    e / 1e9,
-                    w / 1e9,
-                    p / 1e9,
-                    q / 1e9
-                );
-            }
-        }
         let horizon = self.now.max(SimTime::ZERO + trace.duration());
         if let Some(live) = &self.live {
             live.watermark_ps(horizon.as_ps());
@@ -672,6 +794,7 @@ impl<'a> Engine<'a> {
             max_heap_depth: queue_stats.max_depth,
             transfers: self.next_tid - 1,
             requests: self.dma_requests,
+            replayed_requests: self.train.replayed,
             timed: self.prof_timed,
             phases: self.phases,
         };
@@ -843,6 +966,9 @@ impl<'a> Engine<'a> {
             if self.obs.enabled() {
                 self.obs.slack_credit(self.now, amount, balance);
             }
+            if self.train.recording {
+                self.train.slack_ops.push(SlackOp::Credit);
+            }
         }
         // simlint::allow(panic-path, "a request's slot is created at TransferStart and lives until the last completion; a vacant slot means the event queue itself is corrupt")
         let chip = self.tracks[req.slot].chip;
@@ -948,9 +1074,8 @@ impl<'a> Engine<'a> {
             }
             self.obs.ta_release(self.now, chip, n, cause);
             for i in 0..self.chips[chip].pending.len() {
-                let p = self.chips[chip].pending[i];
-                self.dbg_pending_delay_ps += self.now.saturating_since(p.arrival).as_ps() as f64;
-                self.obs.trace_released(p.req.transfer, self.now);
+                let tid = self.chips[chip].pending[i].req.transfer;
+                self.obs.trace_released(tid, self.now);
             }
             let c = &mut self.chips[chip];
             for p in &c.pending_per_bus {
@@ -994,6 +1119,7 @@ impl<'a> Engine<'a> {
             ChipPhase::Steady(_) if has_work => {
                 let done = self.chips[chip].chip.begin_wake(self.now);
                 self.timer_gen[chip] += 1; // cancel any armed sleep
+                self.timer_at[chip] = SimTime::NEVER;
                 self.queue.schedule(done, Ev::TransitionDone { chip });
                 self.note_transitions(chip);
                 self.tl_note(chip);
@@ -1054,7 +1180,8 @@ impl<'a> Engine<'a> {
         }
         self.serving_count += 1;
         let done = self.chips[chip].chip.busy_until();
-        self.queue.schedule(done, Ev::ServiceDone { chip });
+        let gen = self.service_gen[chip];
+        self.queue.schedule(done, Ev::ServiceDone { chip, gen });
         self.tl_note(chip);
     }
 
@@ -1085,7 +1212,10 @@ impl<'a> Engine<'a> {
         self.dma_streak[chip] >= limit
     }
 
-    fn on_service_done(&mut self, chip: usize) {
+    fn on_service_done(&mut self, chip: usize, gen: u64) {
+        if gen != self.service_gen[chip] {
+            return; // moved by a train replay
+        }
         let Some(serving) = self.serving[chip].take() else {
             return; // spurious (cleared elsewhere)
         };
@@ -1098,12 +1228,9 @@ impl<'a> Engine<'a> {
                 service,
             } => {
                 let delay = (self.now - arrival).saturating_sub(service).as_ps() as f64;
-                if req.is_first {
-                    self.dbg_first_post_release_ps += delay;
-                } else {
-                    self.dbg_nonfirst_delay_ps += delay;
-                    // Chip-level queueing (over-aligned streams) eats into
-                    // the performance budget like any other added delay.
+                // Chip-level queueing (over-aligned streams) eats into the
+                // performance budget like any other added delay.
+                if !req.is_first {
                     if let Some(slack) = &mut self.slack {
                         slack.debit_queue(delay);
                         let balance = slack.slack_ps();
@@ -1111,9 +1238,15 @@ impl<'a> Engine<'a> {
                             self.obs
                                 .slack_debit(self.now, DebitCause::Queue, delay, balance);
                         }
+                        if self.train.recording {
+                            self.train.slack_ops.push(SlackOp::Queue(delay));
+                        }
                     }
                 }
                 self.request_service.record(self.now - arrival);
+                if self.train.recording {
+                    self.train.samples.push(self.now - arrival);
+                }
                 self.served += 1;
                 self.service_sum_ps += (self.now - arrival).as_ps();
                 self.obs.request_served(self.now - arrival);
@@ -1144,12 +1277,14 @@ impl<'a> Engine<'a> {
         debug_assert!(c.queues_empty() && self.serving[chip].is_none());
         self.idle_start[chip] = self.now;
         self.timer_gen[chip] += 1;
+        self.timer_at[chip] = SimTime::NEVER;
         let mode = c.chip.mode().unwrap_or(PowerMode::Active);
         if let Some((target, when)) = c.policy.next_step(mode, self.now) {
             self.planned_mode[chip] = Some(target);
             let gen = self.timer_gen[chip];
+            self.timer_at[chip] = when.max(self.now);
             self.queue
-                .schedule(when.max(self.now), Ev::PolicyTimer { chip, gen });
+                .schedule(self.timer_at[chip], Ev::PolicyTimer { chip, gen });
         }
     }
 
@@ -1157,6 +1292,7 @@ impl<'a> Engine<'a> {
         if gen != self.timer_gen[chip] {
             return; // superseded — the common stale-timer case
         }
+        self.timer_at[chip] = SimTime::NEVER;
         let c = &mut self.chips[chip];
         let steady_idle = match c.chip.phase() {
             ChipPhase::Steady(PowerMode::Active) => c.chip.is_free(self.now),
@@ -1202,8 +1338,9 @@ impl<'a> Engine<'a> {
                     self.planned_mode[chip] = Some(target);
                     self.timer_gen[chip] += 1;
                     let gen = self.timer_gen[chip];
+                    self.timer_at[chip] = when.max(self.now);
                     self.queue
-                        .schedule(when.max(self.now), Ev::PolicyTimer { chip, gen });
+                        .schedule(self.timer_at[chip], Ev::PolicyTimer { chip, gen });
                 }
             }
         }
@@ -1212,9 +1349,13 @@ impl<'a> Engine<'a> {
     // ------------------------------------------------------------------
     // Periodic events
 
-    fn on_epoch_tick(&mut self, trace_len: usize) {
+    fn on_epoch_tick(&mut self, gen: u64, trace_len: usize) {
         let Some(ta) = self.scheme.ta else { return };
+        if gen != self.epoch_gen {
+            return; // carried past a replayed window
+        }
         self.last_epoch_tick = self.now;
+        self.next_epoch_tick = SimTime::NEVER;
         if let Some(slack) = &mut self.slack {
             slack.debit_epoch(ta.epoch, self.ta_pending_total);
             let balance = slack.slack_ps();
@@ -1234,29 +1375,10 @@ impl<'a> Engine<'a> {
         }
         // Keep ticking while there is (or may still be) work.
         if !(self.cursor >= trace_len && self.active_transfers == 0 && self.ta_pending_total == 0) {
-            let mut next = self.now + ta.epoch;
-            // Virtual-time fast-forward: with no gathered requests and no
-            // observability consumers, every tick strictly before the next
-            // real event is a provable no-op — `debit_epoch(e, 0)` moves no
-            // slack, there are no releases to check, and nothing records
-            // the tick. Jump the tick straight to the last epoch boundary
-            // at or before that event, counting the skipped boundaries so
-            // the phase call counts (and the profile's `events`) stay
-            // identical to a tick-by-tick engine. Pop order is preserved:
-            // the jumped tick lands at the same `(time, allocation-order)`
-            // position the final skipped-to tick would have had.
-            if !self.classic && self.ta_pending_total == 0 && self.obs_quiet {
-                if let Some((t, _)) = self.queue.peek_key() {
-                    let gap_ps = t.saturating_since(self.now).as_ps();
-                    let epoch_ps = ta.epoch.as_ps();
-                    let k = gap_ps / epoch_ps;
-                    if k > 1 {
-                        self.phases.note_n(Phase::Policy, k - 1);
-                        next = self.now + SimDuration::from_ps(k * epoch_ps);
-                    }
-                }
-            }
-            self.queue.schedule(next, Ev::EpochTick);
+            self.next_epoch_tick = self.now + ta.epoch;
+            let gen = self.epoch_gen;
+            self.queue
+                .schedule(self.next_epoch_tick, Ev::EpochTick { gen });
         }
     }
 
@@ -1299,6 +1421,539 @@ impl<'a> Engine<'a> {
         }
         if !(self.cursor >= trace_len && self.active_transfers == 0) {
             self.queue.schedule(self.now + pl.interval, Ev::PlInterval);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Live telemetry
+
+    fn publish_watermark(&mut self) {
+        if let Some(live) = &self.live {
+            live.watermark_ps(self.now.as_ps());
+        }
+        self.next_watermark = self.now + WATERMARK_EVERY;
+    }
+
+    // ------------------------------------------------------------------
+    // Steady-train replay (see [`TrainReplay`])
+
+    /// Runs at the top of the loop while the gate is open: opens a
+    /// recording at the next instant, or closes the one in progress once
+    /// its period has elapsed. Kept out of line: the dispatch loop only
+    /// pays the gate compare.
+    #[inline(never)]
+    fn train_step(&mut self, events: &[TraceEvent]) {
+        let Some((next, _)) = self.queue.peek_key() else {
+            return;
+        };
+        if self.train.recording {
+            if next >= self.train.t0 + self.train.period {
+                self.train_close();
+            }
+        } else if next > self.now && next >= self.train.resume_at {
+            // Every event at `self.now` has run (a clean cut), and the
+            // stale events a replay left behind have all popped.
+            self.train_open(next, events);
+        }
+    }
+
+    /// A non-train event ran: the streak restarts with the gate at its
+    /// minimum (the state that failed to repeat has been disturbed), and
+    /// a period being recorded no longer describes the train alone.
+    fn train_interrupted(&mut self) {
+        self.train.streak = 0;
+        self.train.gate = TRAIN_GATE_MIN;
+        if self.train.recording {
+            self.train_fail(false);
+        }
+    }
+
+    /// Abandons an attempt. `no_repeat` marks a recorded period that did
+    /// not reproduce its start, which backs the gate off.
+    fn train_fail(&mut self, no_repeat: bool) {
+        if self.train.recording {
+            self.train.recording = false;
+            for &c in &self.train.chips {
+                self.chips[c].chip.stop_recording();
+            }
+        }
+        self.train.streak = 0;
+        if no_repeat {
+            self.train.gate = self.train.gate.saturating_mul(2).min(TRAIN_GATE_MAX);
+        }
+    }
+
+    /// Starts recording the period `[t0, t0 + P)` if the system looks
+    /// like a steady train with room for a worthwhile replay after it.
+    fn train_open(&mut self, t0: SimTime, events: &[TraceEvent]) {
+        self.train.streak = 0;
+        // Cheapest test first: the next trace record and epoch tick are
+        // foreign events, and no train runs faster than the fastest bus.
+        // When a foreign event is too close, nothing can open before it
+        // runs, so the gate stays shut until it does (running it reopens
+        // the gate).
+        let reach = t0 + self.train.min_period * (MIN_REPLAY_PERIODS + 1);
+        let next_record = events
+            .get(self.cursor)
+            .map_or(SimTime::NEVER, TraceEvent::time);
+        if next_record.min(self.foreign_epoch_tick()) < reach {
+            self.train.gate = u32::MAX;
+            return;
+        }
+        let Some(period) = self.collect_train() else {
+            // Typically a page migration occupying a target chip for
+            // hundreds of periods: back off as for a failed repeat.
+            self.train.gate = self.train.gate.saturating_mul(2).min(TRAIN_GATE_MAX);
+            return;
+        };
+        let min_end = t0 + period * (MIN_REPLAY_PERIODS + 1);
+        if self.foreign_floor(events) < min_end {
+            self.train.gate = u32::MAX;
+            return;
+        }
+        let mut snap = std::mem::take(&mut self.train.snap);
+        let barrier = self.train_snapshot(t0, &mut snap);
+        self.train.snap = snap;
+        match barrier {
+            None => return,
+            Some(b) if b < min_end => {
+                self.train.gate = u32::MAX;
+                return;
+            }
+            Some(_) => {}
+        }
+        let t = &mut self.train;
+        t.issued.clear();
+        for &b in &t.buses {
+            t.issued.extend(self.buses[b].streams().map(|s| s.issued));
+        }
+        t.slack_ops.clear();
+        t.samples.clear();
+        t.totals = TrainTotals {
+            requests: self.dma_requests,
+            served: self.served,
+            service_sum_ps: self.service_sum_ps,
+            dma_serving: self.dma_serving,
+        };
+        for &c in &t.chips {
+            self.chips[c].chip.start_recording();
+        }
+        t.recording = true;
+        t.t0 = t0;
+        t.period = period;
+    }
+
+    /// The next epoch tick if it is a foreign event. With no gathered
+    /// request pending, a tick only stamps `last_epoch_tick` and re-arms
+    /// itself (its zero slack debit leaves every bit as it was), so it
+    /// rides along inside a replayed window instead of ending it.
+    fn foreign_epoch_tick(&self) -> SimTime {
+        if self.ta_pending_total == 0 {
+            SimTime::NEVER
+        } else {
+            self.next_epoch_tick
+        }
+    }
+
+    /// A lower bound on the earliest foreign event, from state alone:
+    /// the next trace record and epoch tick, and every non-train chip's
+    /// pending transition, service completion and policy timer. The
+    /// queue scan in [`Engine::train_snapshot`] is the exact answer; this
+    /// only spares the scan when a replay is out of reach anyway.
+    fn foreign_floor(&self, events: &[TraceEvent]) -> SimTime {
+        let mut floor = events
+            .get(self.cursor)
+            .map_or(SimTime::NEVER, TraceEvent::time)
+            .min(self.foreign_epoch_tick());
+        for (c, ctl) in self.chips.iter().enumerate() {
+            if self.train.chips.binary_search(&c).is_ok() {
+                continue;
+            }
+            floor = floor.min(self.timer_at[c]);
+            match ctl.chip.phase() {
+                ChipPhase::GoingDown { until, .. } | ChipPhase::Waking { until, .. } => {
+                    floor = floor.min(until);
+                }
+                ChipPhase::Steady(_) if self.serving[c].is_some() => {
+                    floor = floor.min(ctl.chip.busy_until());
+                }
+                ChipPhase::Steady(_) => {}
+            }
+        }
+        floor
+    }
+
+    /// Collects the train: the buses with a pending tick (those with a
+    /// ready stream) and the chips their ready streams target. Returns
+    /// the common slot period, or `None` when the state cannot repeat:
+    /// buses of different periods, a ready stream whose first request
+    /// is still to issue or whose last is near, or a target chip that is
+    /// not settled active with only DMA work. A chip queueing more
+    /// requests than there are ready streams is draining a backlog (after
+    /// a wake or a page copy), which shrinks every period: not steady.
+    fn collect_train(&mut self) -> Option<SimDuration> {
+        let TrainReplay { buses, chips, .. } = &mut *self.train;
+        buses.clear();
+        chips.clear();
+        let mut period = None;
+        let mut ready = 0;
+        for (b, bus) in self.buses.iter().enumerate() {
+            if !bus.has_eligible_stream() {
+                continue;
+            }
+            let p = bus.slot_period();
+            if *period.get_or_insert(p) != p {
+                return None;
+            }
+            for s in bus.streams().filter(|s| s.ready) {
+                if s.issued == 0 || s.total - s.issued < 3 {
+                    return None;
+                }
+                let chip = self.tracks.get(s.slot)?.chip;
+                if !chips.contains(&chip) {
+                    chips.push(chip);
+                }
+                ready += 1;
+            }
+            buses.push(b);
+        }
+        chips.sort_unstable();
+        for &c in chips.iter() {
+            let ctl = &self.chips[c];
+            if !ctl.chip.is_active()
+                || !ctl.proc_ready.is_empty()
+                || !ctl.mig_ready.is_empty()
+                || !ctl.pending.is_empty()
+                || ctl.dma_ready.len() > ready
+                || self.wake_requested[c]
+            {
+                return None;
+            }
+        }
+        period
+    }
+
+    /// Encodes the train's state at `base` into `out` as integers, every
+    /// instant relative to `base` and every queued request by its
+    /// distance behind its stream's issue count, and collects the live
+    /// train events (time-ordered) into `self.train.live`. Two snapshots
+    /// are equal iff the train acts identically from their bases on.
+    ///
+    /// Returns the time of the earliest live event that is not part of
+    /// the train ([`SimTime::NEVER`] if none) — a replay must end at or
+    /// before it — or `None` if a first or last request, or non-DMA
+    /// service, is in the train.
+    fn train_snapshot(&mut self, base: SimTime, out: &mut Vec<i64>) -> Option<SimTime> {
+        let TrainReplay {
+            buses,
+            chips,
+            live,
+            streams,
+            epoch_tick,
+            ..
+        } = &mut *self.train;
+        let rel = |t: SimTime| t.as_ps() as i64 - base.as_ps() as i64;
+        out.clear();
+        *epoch_tick = None;
+        streams.clear();
+        for &b in buses.iter() {
+            let bus = &self.buses[b];
+            out.extend([
+                b as i64,
+                bus.rr_next() as i64,
+                rel(bus.next_free_slot()),
+                bus.streams().len() as i64,
+            ]);
+            for s in bus.streams() {
+                let due = if s.ready { rel(s.next_due) } else { 0 };
+                out.extend([s.transfer as i64, i64::from(s.ready), s.total as i64, due]);
+                streams.push((s.transfer, s.issued));
+            }
+        }
+        let request = |req: &DmaRequest, arrival: SimTime| -> Option<[i64; 5]> {
+            if req.is_first || req.is_last {
+                return None;
+            }
+            let &(_, issued) = streams.iter().find(|&&(tid, _)| tid == req.transfer)?;
+            Some([
+                req.transfer as i64,
+                req.seq as i64 - issued as i64,
+                rel(arrival),
+                req.bytes as i64,
+                req.bus as i64,
+            ])
+        };
+        for &c in chips.iter() {
+            let ctl = &self.chips[c];
+            out.push(c as i64);
+            out.extend(ctl.chip.relative_state(base));
+            out.extend([
+                rel(self.idle_start[c]),
+                self.planned_mode[c].map_or(-1, |m| m as i64),
+            ]);
+            match self.serving[c] {
+                None => out.push(0),
+                Some(Serving::Dma {
+                    req,
+                    arrival,
+                    service,
+                }) => {
+                    out.push(1);
+                    out.extend(request(&req, arrival)?);
+                    out.push(service.as_ps() as i64);
+                }
+                Some(_) => return None,
+            }
+            out.push(ctl.dma_ready.len() as i64);
+            for r in &ctl.dma_ready {
+                out.extend(request(&r.req, r.arrival)?);
+            }
+        }
+        live.clear();
+        let mut barrier = SimTime::NEVER;
+        for (t, seq, ev) in self.queue.iter() {
+            let train = match *ev {
+                Ev::BusTick { bus, gen } => {
+                    if gen != self.bus_gen[bus] {
+                        continue; // stale
+                    }
+                    buses.contains(&bus).then_some((TAG_TICK, bus))
+                }
+                Ev::ServiceDone { chip, gen } => {
+                    if gen != self.service_gen[chip] {
+                        continue;
+                    }
+                    chips
+                        .binary_search(&chip)
+                        .is_ok()
+                        .then_some((TAG_DONE, chip))
+                }
+                Ev::PolicyTimer { chip, gen } => {
+                    if gen != self.timer_gen[chip] {
+                        continue;
+                    }
+                    chips
+                        .binary_search(&chip)
+                        .is_ok()
+                        .then_some((TAG_TIMER, chip))
+                }
+                Ev::EpochTick { gen } => {
+                    if gen != self.epoch_gen {
+                        continue;
+                    }
+                    if self.ta_pending_total == 0 {
+                        *epoch_tick = Some(t);
+                        continue;
+                    }
+                    None
+                }
+                _ => None,
+            };
+            match train {
+                Some((tag, id)) => live.push((t, seq, tag, id)),
+                None => barrier = barrier.min(t),
+            }
+        }
+        live.sort_unstable();
+        out.push(live.len() as i64);
+        for &(t, _, tag, id) in live.iter() {
+            out.extend([tag, id as i64, rel(t)]);
+        }
+        Some(barrier)
+    }
+
+    /// Closes the recorded period: replays it if the train came back to
+    /// its starting state and there is room for a worthwhile window.
+    fn train_close(&mut self) {
+        let TrainReplay { t0, period, .. } = *self.train;
+        let mut scratch = std::mem::take(&mut self.train.scratch);
+        let barrier = self.train_snapshot(t0 + period, &mut scratch);
+        let repeated = scratch == self.train.snap;
+        self.train.scratch = scratch;
+        let Some(barrier) = barrier.filter(|_| repeated) else {
+            self.train_fail(true);
+            return;
+        };
+        let m = self.replay_room(barrier);
+        if m < MIN_REPLAY_PERIODS {
+            self.train_fail(false);
+            return;
+        }
+        self.train_replay(m);
+    }
+
+    /// How many periods past the recorded one may be replayed: the
+    /// window `[t0 + P, t0 + (m + 1) P)` must end at or before the first
+    /// foreign event, and leave every stream enough requests that the
+    /// stale policy timers the window would have armed all fire before
+    /// the stream's last request issues (one of them could otherwise be
+    /// the event that sets the run's horizon).
+    fn replay_room(&self, barrier: SimTime) -> u64 {
+        let TrainReplay { t0, period, .. } = *self.train;
+        let p = period.as_ps();
+        let mut m = ((barrier.as_ps() - t0.as_ps()) / p).saturating_sub(1);
+        // A timer armed at or after `t0` fires within this reach of its
+        // arming; a timer that fired inside the period reached under `p`.
+        let timer_reach = self
+            .train
+            .live
+            .iter()
+            .filter(|e| e.2 == TAG_TIMER)
+            .map(|e| e.0.as_ps() - t0.as_ps())
+            .fold(p, u64::max);
+        let margin = timer_reach / p + 3;
+        // The tick after the window is queued ahead of the train's events;
+        // that matches the engine's order only if it cannot tie with one
+        // of them, so with a very short epoch the tick ends the window.
+        if let Some(tick) = self.train.epoch_tick {
+            let span = self
+                .train
+                .live
+                .iter()
+                .map(|e| e.0.as_ps() - t0.as_ps())
+                .max()
+                .unwrap_or(0);
+            if self
+                .scheme
+                .ta
+                .is_none_or(|ta| ta.epoch.as_ps() <= span + 2 * p)
+            {
+                m = m.min(((tick.as_ps() - t0.as_ps()) / p).saturating_sub(1));
+            }
+        }
+        let mut i = 0;
+        for &b in &self.train.buses {
+            for s in self.buses[b].streams() {
+                let per_period = s.issued - self.train.issued[i];
+                i += 1;
+                if let Some(room) = s
+                    .total
+                    .saturating_sub(s.issued + margin)
+                    .checked_div(per_period)
+                {
+                    m = m.min(room);
+                }
+            }
+        }
+        m
+    }
+
+    /// Applies the recorded period `m` more times and moves the train
+    /// `m` periods later, leaving the engine where dispatching every
+    /// event of those periods would have (up to `dma_streak`, which only
+    /// a CPU reservation reads, and a reservation keeps the replay off).
+    fn train_replay(&mut self, m: u64) {
+        self.train.recording = false;
+        let period = self.train.period;
+        let shift = period * m;
+        // The f64 sequences, each in its own recorded order.
+        if let Some(slack) = &mut self.slack {
+            for _ in 0..m {
+                for &op in &self.train.slack_ops {
+                    match op {
+                        SlackOp::Credit => {
+                            slack.credit_request();
+                        }
+                        SlackOp::Queue(delay) => slack.debit_queue(delay),
+                    }
+                }
+            }
+        }
+        for _ in 0..m {
+            for &d in &self.train.samples {
+                self.request_service.record(d);
+            }
+        }
+        // Integer totals grow by m times the period's growth.
+        let start = self.train.totals;
+        let requests = self.dma_requests - start.requests;
+        self.dma_requests += requests * m;
+        self.served += (self.served - start.served) * m;
+        self.service_sum_ps += (self.service_sum_ps - start.service_sum_ps) * m;
+        self.dma_serving += (self.dma_serving - start.dma_serving) * m;
+        self.train.replayed += requests * m;
+        // Epoch ticks inside the window: the last one stamps
+        // `last_epoch_tick` and arms the next; the queued one goes stale.
+        let end = self.train.t0 + period * (m + 1);
+        if let (Some(first), Some(ta)) = (self.train.epoch_tick, self.scheme.ta) {
+            if first < end {
+                let e = ta.epoch.as_ps();
+                let passed = (end.as_ps() - 1 - first.as_ps()) / e;
+                self.last_epoch_tick = first + SimDuration::from_ps(passed * e);
+                self.next_epoch_tick = self.last_epoch_tick + ta.epoch;
+                self.epoch_gen += 1;
+                let gen = self.epoch_gen;
+                self.queue
+                    .schedule(self.next_epoch_tick, Ev::EpochTick { gen });
+            }
+        }
+        let TrainReplay {
+            buses,
+            chips,
+            issued,
+            streams,
+            live,
+            ..
+        } = &mut *self.train;
+        streams.clear();
+        let mut i = 0;
+        for &b in buses.iter() {
+            let first = i;
+            for s in self.buses[b].streams() {
+                issued[i] = s.issued - issued[i];
+                streams.push((s.transfer, issued[i]));
+                i += 1;
+            }
+            self.buses[b].advance_periods(m, period, &issued[first..i]);
+            self.bus_gen[b] += 1;
+        }
+        let moved = |req: &mut DmaRequest, arrival: &mut SimTime| {
+            if let Some(&(_, per_period)) = streams.iter().find(|&&(tid, _)| tid == req.transfer) {
+                req.seq += per_period * m;
+            }
+            *arrival += shift;
+        };
+        for &c in chips.iter() {
+            self.chips[c].chip.replay_recording(m, period);
+            self.idle_start[c] += shift;
+            if let Some(Serving::Dma { req, arrival, .. }) = &mut self.serving[c] {
+                moved(req, arrival);
+            }
+            for r in &mut self.chips[c].dma_ready {
+                moved(&mut r.req, &mut r.arrival);
+            }
+            // Outdate the chip's queued completion and timers.
+            self.service_gen[c] += 1;
+            self.timer_gen[c] += 1;
+            if self.timer_at[c] != SimTime::NEVER {
+                self.timer_at[c] += shift;
+            }
+        }
+        // Re-queue the live train events at their new times, in the
+        // order they were scheduled, so equal-time pops keep their order.
+        live.sort_unstable_by_key(|e| e.1);
+        for &(t, _, tag, id) in live.iter() {
+            let ev = match tag {
+                TAG_TICK => Ev::BusTick {
+                    bus: id,
+                    gen: self.bus_gen[id],
+                },
+                TAG_DONE => Ev::ServiceDone {
+                    chip: id,
+                    gen: self.service_gen[id],
+                },
+                _ => Ev::PolicyTimer {
+                    chip: id,
+                    gen: self.timer_gen[id],
+                },
+            };
+            self.queue.schedule(t + shift, ev);
+        }
+        self.train.gate = TRAIN_GATE_MIN;
+        self.train.streak = 0;
+        self.train.resume_at = end;
+        if let Some(live) = &self.live {
+            live.watermark_ps(self.train.resume_at.as_ps());
         }
     }
 }

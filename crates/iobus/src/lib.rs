@@ -261,6 +261,23 @@ pub enum IssueOutcome {
     Idle,
 }
 
+/// A read-only view of one stream on a [`Bus`] (see [`Bus::streams`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamView {
+    /// Transfer the stream carries.
+    pub transfer: TransferId,
+    /// Engine-side arena slot of the transfer.
+    pub slot: u32,
+    /// False while the stream waits for its first request's ack.
+    pub ready: bool,
+    /// Requests issued so far.
+    pub issued: u64,
+    /// Requests in the whole transfer.
+    pub total: u64,
+    /// Earliest instant the next request may issue.
+    pub next_due: SimTime,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StreamPhase {
     /// May issue its next request at the next slot.
@@ -329,6 +346,60 @@ impl Bus {
     /// Total requests issued since construction.
     pub fn issued_total(&self) -> u64 {
         self.issued_total
+    }
+
+    /// The bus slot period (see [`BusConfig::slot_period`]).
+    pub fn slot_period(&self) -> SimDuration {
+        self.slot_period
+    }
+
+    /// The active streams, in round-robin order.
+    pub fn streams(&self) -> impl ExactSizeIterator<Item = StreamView> + '_ {
+        self.streams.iter().map(|s| StreamView {
+            transfer: s.transfer.id,
+            slot: s.transfer.slot,
+            ready: s.phase == StreamPhase::Ready,
+            issued: s.issued,
+            total: s.total,
+            next_due: s.next_due,
+        })
+    }
+
+    /// Index (into [`Bus::streams`]) where the next round-robin probe
+    /// starts.
+    pub fn rr_next(&self) -> usize {
+        self.rr_next
+    }
+
+    /// End of the most recently used slot (time-division pacing).
+    pub fn next_free_slot(&self) -> SimTime {
+        self.next_free_slot
+    }
+
+    /// Advances a bus whose streams repeat themselves every `period` by
+    /// `m` periods at once, as if [`Bus::issue`] had run through them:
+    /// stream `i` issues `per_period[i]` requests per period. Streams
+    /// with a zero count (waiting for an ack) keep their state; every
+    /// other stream, and the slot clock, moves `m * period` later.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_period` does not hold one count per stream, or if
+    /// a stream would reach its last request (a completing stream is not
+    /// periodic).
+    pub fn advance_periods(&mut self, m: u64, period: SimDuration, per_period: &[u64]) {
+        assert_eq!(per_period.len(), self.streams.len(), "one count per stream");
+        let shift = period * m;
+        for (s, &d) in self.streams.iter_mut().zip(per_period) {
+            if d == 0 {
+                continue;
+            }
+            s.issued += d * m;
+            assert!(s.issued < s.total, "advance would complete a stream");
+            s.next_due += shift;
+            self.issued_total += d * m;
+        }
+        self.next_free_slot += shift;
     }
 
     /// Registers a new transfer, eligible to issue from `now` on.
@@ -695,6 +766,37 @@ mod tests {
         bus.ack_first(1, ack_at);
         let resume = bus.next_issue_time(ack_at).unwrap();
         assert_eq!(resume, ack_at + BusConfig::pci_x().slot_period());
+    }
+
+    #[test]
+    fn advance_periods_matches_issuing_each_period() {
+        let mut stepped = Bus::new(0, BusConfig::pci_x());
+        stepped.add_transfer(SimTime::ZERO, xfer(1, 10, 8192));
+        stepped.add_transfer(SimTime::ZERO, xfer(2, 20, 8192));
+        let period = stepped.slot_period();
+        let mut now = SimTime::ZERO;
+        for _ in 0..4 {
+            now = stepped.next_issue_time(now).unwrap();
+            if let IssueOutcome::Issued(r) = stepped.issue(now) {
+                if r.is_first {
+                    stepped.ack_first(r.transfer, now);
+                }
+            }
+        }
+        let mut advanced = stepped.clone();
+        // Steady now: each stream issues once per period.
+        for _ in 0..2 * 10 {
+            now = stepped.next_issue_time(now).unwrap();
+            assert!(matches!(stepped.issue(now), IssueOutcome::Issued(_)));
+        }
+        advanced.advance_periods(10, period, &[1, 1]);
+        assert_eq!(
+            advanced.streams().collect::<Vec<_>>(),
+            stepped.streams().collect::<Vec<_>>()
+        );
+        assert_eq!(advanced.issued_total(), stepped.issued_total());
+        assert_eq!(advanced.rr_next(), stepped.rr_next());
+        assert_eq!(advanced.next_free_slot(), stepped.next_free_slot());
     }
 
     #[test]

@@ -86,6 +86,14 @@ impl ModeResidency {
         self.settled.iter().copied().sum::<SimDuration>() + self.transitioning
     }
 
+    /// Adds `m` times the growth since `start` (integer, so order-free).
+    fn repeat_growth(&mut self, start: &ModeResidency, m: u64) {
+        for (d, d0) in self.settled.iter_mut().zip(start.settled) {
+            *d += (*d - d0) * m;
+        }
+        self.transitioning += (self.transitioning - start.transitioning) * m;
+    }
+
     /// Merges another ledger into this one.
     pub fn merge(&mut self, other: &ModeResidency) {
         for i in 0..4 {
@@ -107,6 +115,18 @@ pub struct TransitionEvent {
     pub to: PowerMode,
     /// Transition latency.
     pub latency: SimDuration,
+}
+
+/// The accruals a chip booked over a recorded stretch of time, kept so
+/// the stretch can be repeated (see [`Chip::start_recording`]).
+#[derive(Debug, Clone, Default)]
+struct AccrualRecord {
+    /// `(category, mJ)` increments in booking order.
+    energy: Vec<(EnergyCategory, f64)>,
+    /// Integer ledgers when recording began; they replay as deltas.
+    start_time: [SimDuration; 6],
+    start_residency: ModeResidency,
+    start_services: u64,
 }
 
 /// One memory chip: power mode, service occupancy, and energy ledger.
@@ -138,6 +158,9 @@ pub struct Chip {
     services: u64,
     wakes: u64,
     transition_log: Option<Vec<TransitionEvent>>,
+    recording: bool,
+    /// Boxed: recording is rare, and the chip's hot fields stay dense.
+    record: Box<AccrualRecord>,
 }
 
 impl Chip {
@@ -157,6 +180,8 @@ impl Chip {
             services: 0,
             wakes: 0,
             transition_log: None,
+            recording: false,
+            record: Box::default(),
         }
     }
 
@@ -267,6 +292,31 @@ impl Chip {
         &self.residency
     }
 
+    /// The chip's scheduling state as integers, every instant taken in
+    /// signed picoseconds relative to `base`: phase, last accrual, end
+    /// of the current service, its billing category, in-flight DMA
+    /// transfers, and last activity. Two chips whose keys at their own
+    /// bases are equal act identically from there on; the energy and
+    /// residency ledgers are deliberately not part of the key.
+    pub fn relative_state(&self, base: SimTime) -> [i64; 7] {
+        let rel = |t: SimTime| t.as_ps() as i64 - base.as_ps() as i64;
+        let slot = |m: PowerMode| ModeResidency::mode_slot(m) as i64;
+        let (phase, until) = match self.phase {
+            ChipPhase::Steady(m) => (slot(m), 0),
+            ChipPhase::GoingDown { to, until } => (4 + slot(to), rel(until)),
+            ChipPhase::Waking { from, until } => (8 + slot(from), rel(until)),
+        };
+        [
+            phase,
+            until,
+            rel(self.last_accrual),
+            rel(self.busy_until),
+            self.serve_category.index() as i64,
+            i64::from(self.inflight_dma),
+            rel(self.last_activity),
+        ]
+    }
+
     /// Accrues energy up to `now` without changing state.
     ///
     /// # Panics
@@ -283,11 +333,58 @@ impl Chip {
         let mut t = self.last_accrual;
         while t < now {
             let (seg_end, category, power) = self.segment_after(t, now);
-            self.energy.accrue(category, power, seg_end - t);
+            let mj = self.energy.accrue_mj(category, power, seg_end - t);
+            if self.recording {
+                self.record.energy.push((category, mj));
+            }
             self.residency.note(self.phase, seg_end - t);
             t = seg_end;
         }
         self.last_accrual = now;
+    }
+
+    /// Starts recording the accruals this chip books from now on, so the
+    /// recorded stretch can later be repeated with
+    /// [`Chip::replay_recording`]. Any earlier recording is discarded.
+    pub fn start_recording(&mut self) {
+        self.recording = true;
+        self.record.energy.clear();
+        self.record.start_time = self.energy.times();
+        self.record.start_residency = self.residency;
+        self.record.start_services = self.services;
+    }
+
+    /// Stops recording without replaying anything.
+    pub fn stop_recording(&mut self) {
+        self.recording = false;
+    }
+
+    /// Repeats the recorded stretch `m` more times and stops recording.
+    ///
+    /// The caller guarantees that the stretch was one period of a
+    /// periodic schedule: the chip ended it in the same state it started
+    /// in, every instant moved by `period`. Energy is re-added increment
+    /// by increment in booking order, so each category's f64 sum comes
+    /// out bit-identical to booking the `m` periods one accrual at a
+    /// time; residency, category time and the service count grow by `m`
+    /// times their (integer) growth over the stretch; and every instant
+    /// the chip holds moves `m * period` later.
+    pub fn replay_recording(&mut self, m: u64, period: SimDuration) {
+        debug_assert!(self.recording, "chip {} replayed without a record", self.id);
+        debug_assert!(
+            self.is_active(),
+            "chip {} replayed while not active",
+            self.id
+        );
+        self.recording = false;
+        let rec = &self.record;
+        self.energy.replay(&rec.energy, m, &rec.start_time);
+        self.residency.repeat_growth(&rec.start_residency, m);
+        self.services += (self.services - rec.start_services) * m;
+        let shift = period * m;
+        self.last_accrual += shift;
+        self.busy_until += shift;
+        self.last_activity += shift;
     }
 
     /// Classifies the accrual segment starting at `t` (capped at `limit`):
@@ -678,6 +775,31 @@ mod tests {
         assert_eq!(a.in_mode(PowerMode::Active), ns(15));
         assert_eq!(a.transitioning(), ns(3));
         assert_eq!(a.total(), ns(18));
+    }
+
+    #[test]
+    fn replayed_periods_match_booking_each_period() {
+        // One request every 7 ns, served for 2 ns: a periodic pattern.
+        fn serve_periods(c: &mut Chip, from: u64, n: u64) {
+            for k in from..from + n {
+                c.begin_service(at(7 * k), ns(2), EnergyCategory::ActiveServing);
+            }
+        }
+        let mut stepped = Chip::new(0, PowerModel::rdram());
+        stepped.dma_transfer_started(at(0));
+        let mut replayed = stepped.clone();
+        serve_periods(&mut stepped, 0, 50);
+        serve_periods(&mut replayed, 0, 3);
+        replayed.start_recording();
+        serve_periods(&mut replayed, 3, 1);
+        replayed.replay_recording(46, ns(7));
+        assert_eq!(replayed.busy_until(), stepped.busy_until());
+        assert_eq!(replayed.services(), stepped.services());
+        for c in [&mut stepped, &mut replayed] {
+            c.sync(at(400));
+        }
+        assert_eq!(replayed.energy(), stepped.energy());
+        assert_eq!(replayed.residency(), stepped.residency());
     }
 
     #[test]

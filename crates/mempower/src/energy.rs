@@ -38,7 +38,7 @@ impl EnergyCategory {
         EnergyCategory::Migration,
     ];
 
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             EnergyCategory::ActiveServing => 0,
             EnergyCategory::ActiveIdleDma => 1,
@@ -100,13 +100,52 @@ impl EnergyBreakdown {
     ///
     /// Panics if `power_mw` is negative or not finite.
     pub fn accrue(&mut self, category: EnergyCategory, power_mw: f64, duration: SimDuration) {
+        self.accrue_mj(category, power_mw, duration);
+    }
+
+    /// [`accrue`](Self::accrue), returning the millijoules added so a
+    /// recorded accrual can be re-added bit for bit.
+    pub(crate) fn accrue_mj(
+        &mut self,
+        category: EnergyCategory,
+        power_mw: f64,
+        duration: SimDuration,
+    ) -> f64 {
         assert!(
             power_mw >= 0.0 && power_mw.is_finite(),
             "invalid power: {power_mw}"
         );
         let i = category.index();
-        self.energy_mj[i] += power_mw * duration.as_secs_f64();
+        let mj = power_mw * duration.as_secs_f64();
+        self.energy_mj[i] += mj;
         self.time[i] += duration;
+        mj
+    }
+
+    /// Re-adds a recorded sequence of `(category, mJ)` increments `m`
+    /// times, in order, and advances each category's time by `m` times
+    /// its growth since `start`. Each category's energy is its own f64
+    /// sum, so adding the same increments in the same order reproduces
+    /// the bits per-accrual booking would have produced.
+    pub(crate) fn replay(
+        &mut self,
+        increments: &[(EnergyCategory, f64)],
+        m: u64,
+        start: &[SimDuration; 6],
+    ) {
+        for _ in 0..m {
+            for &(category, mj) in increments {
+                self.energy_mj[category.index()] += mj;
+            }
+        }
+        for (t, t0) in self.time.iter_mut().zip(start) {
+            *t += (*t - *t0) * m;
+        }
+    }
+
+    /// Per-category accumulated time, in [`EnergyCategory::ALL`] order.
+    pub(crate) fn times(&self) -> [SimDuration; 6] {
+        self.time
     }
 
     /// Energy accumulated in `category`, in millijoules.

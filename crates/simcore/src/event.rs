@@ -563,6 +563,18 @@ impl<E> EventQueue<E> {
         best
     }
 
+    /// Every pending event with its `(time, seq)` key, in unspecified
+    /// order. Costs one pass over the pending set; meant for occasional
+    /// inspection (an engine deciding whether a stretch of its schedule
+    /// is periodic), not for the dispatch path.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &E)> + '_ {
+        self.fast
+            .iter()
+            .chain(self.arena.iter().map(|node| &node.entry))
+            .chain(self.overflow.iter())
+            .map(|e| (e.time, e.seq, &e.event))
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.fast.is_some() as usize + self.wheel_len + self.overflow.len()
@@ -668,6 +680,22 @@ mod tests {
         assert_eq!(q.peek_time(), Some(at(3)));
         q.clear();
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn iter_visits_fast_slot_wheel_and_overflow() {
+        let mut q = EventQueue::new();
+        q.schedule(at(5), 'f'); // fast slot
+        q.schedule(at(6), 'w'); // wheel
+        q.schedule(at(5_000_000), 'o'); // beyond the wheel horizon
+        let mut seen: Vec<(SimTime, u64, char)> = q.iter().map(|(t, s, e)| (t, s, *e)).collect();
+        seen.sort();
+        assert_eq!(
+            seen,
+            [(at(5), 0, 'f'), (at(6), 1, 'w'), (at(5_000_000), 2, 'o')]
+        );
+        q.pop();
+        assert_eq!(q.iter().count(), 2);
     }
 
     #[test]

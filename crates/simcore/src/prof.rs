@@ -83,16 +83,6 @@ impl PhaseProfile {
         self.stats[phase.index()].calls += 1;
     }
 
-    /// Counts `n` calls of `phase` at once (deterministic side).
-    ///
-    /// Engines that process a run of identical events analytically (for
-    /// example a virtual-time fast-forward across an idle gap covering
-    /// `n` periodic ticks) use this so their call counts stay identical
-    /// to an engine that dispatched every tick individually.
-    pub fn note_n(&mut self, phase: Phase, n: u64) {
-        self.stats[phase.index()].calls += n;
-    }
-
     /// Adds wall-clock nanoseconds to `phase` (timing side).
     pub fn add_ns(&mut self, phase: Phase, ns: u64) {
         self.stats[phase.index()].ns += ns;
@@ -177,6 +167,10 @@ pub struct EngineProfile {
     pub transfers: u64,
     /// Chip-level DMA-memory requests allocated.
     pub requests: u64,
+    /// Requests the engine advanced by replaying a recorded steady bus
+    /// period instead of dispatching their events (a subset of
+    /// `requests`; zero when the replay is off).
+    pub replayed_requests: u64,
     /// Whether wall-clock phase timing was armed for this run (any run,
     /// when merged).
     pub timed: bool,
@@ -194,6 +188,7 @@ impl EngineProfile {
         self.max_heap_depth = self.max_heap_depth.max(other.max_heap_depth);
         self.transfers += other.transfers;
         self.requests += other.requests;
+        self.replayed_requests += other.replayed_requests;
         self.timed |= other.timed;
         self.phases.merge(&other.phases);
     }
@@ -217,6 +212,7 @@ impl EngineProfile {
             && self.max_heap_depth == other.max_heap_depth
             && self.transfers == other.transfers
             && self.requests == other.requests
+            && self.replayed_requests == other.replayed_requests
             && Phase::ALL
                 .iter()
                 .all(|&p| self.phases.get(p).calls == other.phases.get(p).calls)
@@ -267,6 +263,7 @@ mod tests {
             max_heap_depth: 5,
             transfers: 3,
             requests: 24,
+            replayed_requests: 20,
             timed: false,
             phases: PhaseProfile::default(),
         };
@@ -281,6 +278,7 @@ mod tests {
         assert_eq!(total.heap_pushes, 24);
         assert_eq!(total.max_heap_depth, 5);
         assert_eq!(total.requests, 48);
+        assert_eq!(total.replayed_requests, 40);
         assert!(total.timed);
     }
 

@@ -64,10 +64,7 @@ fn rendered_exposition_is_structurally_valid() {
         if line.starts_with('#') || line.is_empty() {
             continue;
         }
-        let name = line
-            .split(['{', ' '])
-            .next()
-            .expect("sample name");
+        let name = line.split(['{', ' ']).next().expect("sample name");
         let known = announced.iter().any(|a| {
             name == a
                 || name
